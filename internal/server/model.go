@@ -109,8 +109,11 @@ func MustModel(name string) Model {
 func (m Model) Span() power.Watts { return m.Peak - m.Idle }
 
 // PowerAt returns the DC power draw with offered load l and frequency
-// factor f.
-func (m Model) PowerAt(load, freq float64) power.Watts {
+// factor f. It and FreqForPower run on every physics tick, so they take a
+// pointer: a Model is about 100 bytes and copying it showed up in tick
+// profiles. The other methods keep value receivers so callers can query a
+// map value such as Generations()["haswell2015"].MaxPower(false).
+func (m *Model) PowerAt(load, freq float64) power.Watts {
 	if freq <= 0 {
 		return m.Idle
 	}
@@ -148,7 +151,7 @@ func (m Model) MinPower() power.Watts {
 // Two regimes exist. While f ≥ l the CPU keeps up, utilization is l/f and
 // P = idle + span·l·f^(p−1). Once f < l the CPU saturates (u = 1) and
 // P = idle + span·f^p.
-func (m Model) FreqForPower(limit power.Watts, load, maxFreq float64) float64 {
+func (m *Model) FreqForPower(limit power.Watts, load, maxFreq float64) float64 {
 	span := float64(m.Span())
 	budget := float64(limit - m.Idle)
 	lo := m.MinFreq

@@ -57,6 +57,11 @@ type Server struct {
 	deliveredWork float64
 	lastTick      time.Duration
 	ticked        bool
+
+	// alpha is the RAPL slew fraction 1 − exp(−dt/raplTau) for the step
+	// size alphaDt, cached because physics ticks use one fixed step.
+	alphaDt time.Duration
+	alpha   float64
 }
 
 // Config creates a Server.
@@ -191,8 +196,11 @@ func (s *Server) Tick(now time.Duration) {
 	case first:
 		s.freq = target
 	case dt > 0:
-		alpha := 1 - math.Exp(-dt.Seconds()/raplTau.Seconds())
-		s.freq += (target - s.freq) * alpha
+		if dt != s.alphaDt {
+			s.alphaDt = dt
+			s.alpha = 1 - math.Exp(-dt.Seconds()/raplTau.Seconds())
+		}
+		s.freq += (target - s.freq) * s.alpha
 	}
 
 	s.draw = s.model.PowerAt(s.load, s.freq)
