@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"dynamo/internal/rpc"
@@ -133,6 +133,10 @@ type Failover struct {
 	adoptFails *telemetry.Counter
 }
 
+// jitterSalt names the probe-jitter stream: a PCG seeded
+// (uint64(JitterSeed), jitterSalt).
+const jitterSalt = 0x6a6974 // "jit"
+
 // NewFailover wires a backup to watch the controller currently registered
 // at CtrlAddr(deviceID) on an in-process network. The primary must already
 // be registered and started by the caller. On promotion the backup's
@@ -155,7 +159,7 @@ func NewFailoverProbe(loop simclock.Loop, probe rpc.Client, deviceID string, bac
 		deviceID: deviceID,
 		backup:   backup,
 		probe:    probe,
-		rng:      rand.New(rand.NewSource(cfg.JitterSeed)),
+		rng:      rand.New(rand.NewPCG(uint64(cfg.JitterSeed), jitterSalt)),
 	}
 	if cfg.Telemetry.Enabled() {
 		lb := []string{"device", deviceID}

@@ -2,7 +2,7 @@ package platform
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"dynamo/internal/power"
@@ -28,7 +28,7 @@ func Calibrate(model server.Model, points int, meterNoise float64, seed int64) *
 	if points < 2 {
 		points = 2
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewPCG(uint64(seed), calibrateSalt))
 	em := &EstimationModel{generation: model.Name}
 	for i := 0; i < points; i++ {
 		u := float64(i) / float64(points-1)
@@ -84,7 +84,7 @@ func NewEstimated(host *server.Server, em *EstimationModel, opts Options) (*Esti
 		return nil, fmt.Errorf("platform: estimation model for %q does not fit host generation %q",
 			em.Generation(), host.Model().Name)
 	}
-	return &Estimated{host: host, em: em, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}, nil
+	return &Estimated{host: host, em: em, opts: opts, rng: rand.New(rand.NewPCG(uint64(opts.Seed), estimatedSalt))}, nil
 }
 
 // Name implements Platform.

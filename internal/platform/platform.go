@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"dynamo/internal/power"
 	"dynamo/internal/server"
@@ -64,6 +64,15 @@ type Options struct {
 	Seed int64
 }
 
+// Sensor noise streams are 16-byte PCGs seeded (uint64(Options.Seed), salt)
+// with one salt per backend; Calibrate uses its own.
+const (
+	msrSalt       = 0x6d7372   // "msr"
+	ipmiSalt      = 0x69706d69 // "ipmi"
+	estimatedSalt = 0x657374   // "est"
+	calibrateSalt = 0x63616c   // "cal"
+)
+
 // MSR is the register-level RAPL backend used on generations that allow
 // direct MSR access. It has a fine-grained on-board sensor.
 type MSR struct {
@@ -80,7 +89,7 @@ func NewMSR(host *server.Server, opts Options) *MSR {
 	if opts.NoiseSigma == 0 {
 		opts.NoiseSigma = 0.8
 	}
-	return &MSR{host: host, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	return &MSR{host: host, opts: opts, rng: rand.New(rand.NewPCG(uint64(opts.Seed), msrSalt))}
 }
 
 // Name implements Platform.
@@ -135,7 +144,7 @@ func NewIPMI(host *server.Server, opts Options) *IPMI {
 	if opts.NoiseSigma == 0 {
 		opts.NoiseSigma = 1.5
 	}
-	return &IPMI{host: host, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	return &IPMI{host: host, opts: opts, rng: rand.New(rand.NewPCG(uint64(opts.Seed), ipmiSalt))}
 }
 
 // Name implements Platform.

@@ -10,7 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"time"
 
@@ -249,6 +249,10 @@ type Sim struct {
 	reaggGauge  *telemetry.Gauge
 }
 
+// hardwareSalt names the per-server hardware-jitter stream: a PCG seeded
+// (uint64(Seed), hardwareSalt).
+const hardwareSalt = 0x4a11
+
 // New builds a simulation. Servers are assigned per-service shared
 // workload state and per-server generators, agents are registered on the
 // in-proc network, and breakers are armed on every device.
@@ -313,7 +317,7 @@ func New(cfg Config) (*Sim, error) {
 	if spread < 0 {
 		spread = 0
 	}
-	hwRng := rand.New(rand.NewSource(cfg.Seed ^ 0x4a11))
+	hwRng := rand.New(rand.NewPCG(uint64(cfg.Seed), hardwareSalt))
 
 	for _, srvNode := range topo.Servers() {
 		svc := srvNode.Service
