@@ -106,6 +106,12 @@ type Plan struct {
 	Shortfall power.Watts
 }
 
+// planResidual is the smallest remaining cut a plan acts on. Summing a
+// group's per-round takes can miss the requested cut by float rounding
+// (about 1e-13 W); such a residual is zero, not a shortfall to alert on
+// or a cut to push into the next priority group.
+const planResidual power.Watts = 1e-3
+
 // ComputePlan distributes totalCut across servers, lowest priority group
 // first, high-bucket-first within each group (paper §III-C3).
 //
@@ -140,7 +146,7 @@ func ComputePlan(servers []ServerState, totalCut power.Watts, cfg PriorityConfig
 
 	remaining := totalCut
 	for _, prio := range prios {
-		if remaining <= 0 {
+		if remaining < planResidual {
 			break
 		}
 		group := groups[prio]
@@ -162,7 +168,7 @@ func ComputePlan(servers []ServerState, totalCut power.Watts, cfg PriorityConfig
 		plan.Achieved += achieved
 		remaining -= achieved
 	}
-	if remaining > 0 {
+	if remaining >= planResidual {
 		plan.Shortfall = remaining
 	}
 	// Deterministic order for tests and logs.

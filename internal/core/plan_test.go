@@ -309,3 +309,37 @@ func TestPriorityDefaults(t *testing.T) {
 		t.Error("unknown group should get default floor")
 	}
 }
+
+// TestComputePlanRoundingResidual covers a cut that two rounds of the
+// web group meet in full, but whose takes sum to 207.89999999999998 W
+// against the requested 207.9 W. The 3e-14 W residual is not a shortfall
+// (the leaf raised a critical "short by 0.0 W" alert on it) and must not
+// spill into the cache group as a near-zero cap.
+func TestComputePlanRoundingResidual(t *testing.T) {
+	cfg := DefaultPriorityConfig()
+	web := []ServerState{
+		{ID: "w0", Service: "web", Power: 284.7},
+		{ID: "w1", Service: "web", Power: 223.2},
+	}
+	cut := power.Watts(207.9)
+	plan := ComputePlan(web, cut, cfg)
+	if plan.Achieved == cut {
+		t.Fatalf("achieved %v equals the cut exactly; the case no longer leaves a residual", plan.Achieved)
+	}
+	if plan.Shortfall != 0 {
+		t.Errorf("shortfall = %g W, want 0 for a float residual", float64(plan.Shortfall))
+	}
+
+	withCache := append([]ServerState{{ID: "c0", Service: "cache", Power: 300}}, web...)
+	for _, c := range ComputePlan(withCache, cut, cfg).Caps {
+		if c.ID == "c0" {
+			t.Errorf("residual spilled into the cache group: %+v", c)
+		}
+	}
+
+	// A real shortfall still reports: the web pair cannot give 400 W
+	// above its SLA floor.
+	if short := ComputePlan(web, 400, cfg).Shortfall; short < 1 {
+		t.Errorf("shortfall = %v for an infeasible cut, want > 1 W", short)
+	}
+}

@@ -581,7 +581,7 @@ func (u *Upper) planCap(p *upperPlan, agg, target power.Watts) {
 		achieved += cuts[id]
 	}
 	shortfall := needed - achieved
-	if shortfall < 0 {
+	if shortfall < planResidual {
 		shortfall = 0
 	}
 	p.planned, p.achieved, p.shortfall = len(cuts), achieved, shortfall
