@@ -16,16 +16,28 @@ func draws() {
 
 func swap(i, j int) {}
 
-// Explicitly seeded instances are the sanctioned pattern.
-func seeded(seed int64) float64 {
-	r := rand.New(rand.NewSource(seed))
+// A v1 source is seeded but 4.9 KB; production code uses a v2 PCG.
+func seededV1(seed int64) float64 {
+	r := rand.New(rand.NewSource(seed)) // want `globalrand: math/rand.NewSource allocates a 4.9 KB source`
 	r.Shuffle(3, swap)
 	return r.Float64() + float64(r.Intn(10))
 }
 
+// Explicitly seeded 16-byte streams are the sanctioned pattern.
 func seededV2(seed uint64) float64 {
-	r := randv2.New(randv2.NewPCG(seed, seed))
-	return r.Float64()
+	r := randv2.New(randv2.NewPCG(seed, 0x67656e))
+	return r.Float64() + r.NormFloat64()
+}
+
+// v1 rand.New over a caller-supplied source is not flagged: only
+// NewSource builds the large lagged-Fibonacci state.
+func customSource(src rand.Source) int {
+	return rand.New(src).Intn(10)
+}
+
+func allowedSource(seed int64) rand.Source {
+	//lint:allow globalrand — reproduces a stream recorded with math/rand
+	return rand.NewSource(seed)
 }
 
 func allowed() int {

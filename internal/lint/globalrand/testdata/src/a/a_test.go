@@ -6,3 +6,8 @@ import "math/rand"
 func helperForTests() int {
 	return rand.Intn(100)
 }
+
+// Tests may also build v1 sources, e.g. for randomized topologies.
+func testSource(seed int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed))
+}
