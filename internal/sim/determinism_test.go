@@ -58,6 +58,14 @@ func runDetScenarioCkpt(t *testing.T, workers, ctrlWorkers int, tel *telemetry.S
 // full-rebuild oracle knob.
 func runDetScenarioOpts(t *testing.T, workers, ctrlWorkers int, tel *telemetry.Sink, ckpt bool, eps power.Watts, fullAgg bool) (fingerprint, map[string][]uint64) {
 	t.Helper()
+	s, fp := runDetSim(t, workers, ctrlWorkers, tel, ckpt, eps, fullAgg)
+	return fp, storeDigest(s.Store)
+}
+
+// runDetSim runs the fixed scenario and returns the finished simulation
+// with its fingerprint.
+func runDetSim(t *testing.T, workers, ctrlWorkers int, tel *telemetry.Sink, ckpt bool, eps power.Watts, fullAgg bool) (*Sim, fingerprint) {
+	t.Helper()
 	spec := detSpec()
 	s, err := New(Config{
 		Spec:               spec,
@@ -90,7 +98,7 @@ func runDetScenarioOpts(t *testing.T, workers, ctrlWorkers int, tel *telemetry.S
 	for _, id := range []topology.NodeID{rpp.ID, rpp.Parent.ID} {
 		fp.Series[id] = append([]float64(nil), s.Series(id).Values()...)
 	}
-	return fp, storeDigest(s.Store)
+	return s, fp
 }
 
 // storeDigest summarizes a state store's streams for byte-identity
