@@ -36,20 +36,10 @@ import (
 // same-seed runs are byte-identical at any worker count and any
 // GOMAXPROCS: the same contract the sharded physics tick provides.
 
-// phasedController is the phase surface Leaf and Upper expose to the
-// scheduler. runObserveDecide may execute on a worker goroutine and must
-// only touch the controller's own state; runAct always executes on the
-// loop goroutine.
-type phasedController interface {
-	DeviceID() string
-	runObserveDecide(now time.Duration)
-	runAct(now time.Duration)
-}
-
 // phasedCycle is one controller whose collection completed this instant.
 type phasedCycle struct {
 	order int // registration order — the fixed device order for acts
-	ctrl  phasedController
+	ctrl  *kernel
 }
 
 // CohortScheduler batches same-instant controller cycles and runs their
@@ -139,7 +129,7 @@ func (s *CohortScheduler) register() int {
 // instant); otherwise the cycle joins the cohort flushed at this same
 // virtual instant. Controllers without a scheduler never reach here —
 // they run their phases directly.
-func (s *CohortScheduler) submit(c phasedController, order int) {
+func (s *CohortScheduler) submit(c *kernel, order int) {
 	if s.inline {
 		now := s.loop.Now()
 		c.runObserveDecide(now)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -399,5 +401,134 @@ func TestUpperRetriesRecoverFlakyChild(t *testing.T) {
 	}
 	if _, valid := up.LastAggregate(); !valid {
 		t.Error("upper aggregation should stay valid with retries covering the flaky child")
+	}
+}
+
+// TestUpperStopMidCycleSendsNothing stops the upper while its first
+// cycle's child pulls are in flight; the completed cycle must not issue
+// contracts.
+func TestUpperStopMidCycleSendsNothing(t *testing.T) {
+	uf := buildUpper(t, 10, [2]float64{0.9, 0.45}, [2]power.Watts{2500, 2500}, 5000)
+	// The upper's first poll fires at 9 s with every child pull in flight.
+	uf.loop.RunUntil(9 * time.Second)
+	uf.upper.Stop()
+	uf.loop.RunUntil(60 * time.Second)
+	for id, leaf := range uf.leaves {
+		if c := leaf.Contract(); c != 0 {
+			t.Errorf("child %s holds a %v contract from a stopped upper", id, c)
+		}
+	}
+	if n := uf.upper.CapEvents(); n != 0 {
+		t.Errorf("capEvents = %d after mid-cycle Stop", n)
+	}
+}
+
+// TestLeafStopCancelsQueuedRetries drops the first cycle's SetCap
+// commands and stops the leaf before their retries fire: a stopped
+// controller's queued retries must not go out.
+func TestLeafStopCancelsQueuedRetries(t *testing.T) {
+	f := newFixture(t)
+	refs := f.addFleet(5, "web", 0.9)
+	inj := faults.New(f.loop, 5, nil)
+	// Pulls land at ~3.002 s and the caps go out at once; the window
+	// swallows every first attempt.
+	inj.Add(faults.Rule{Peer: "*", Method: agent.MethodSetCap, Until: 3*time.Second + 100*time.Millisecond, DropP: 1})
+	for i := range refs {
+		refs[i].Client = inj.WrapClient(AgentAddr(refs[i].ServerID), refs[i].Client)
+	}
+	leaf := NewLeaf(f.loop, LeafConfig{
+		DeviceID: "rpp1", Limit: 100, Alerts: f.alertSink(), // grossly over: caps planned at once
+		PullTimeout: 200 * time.Millisecond,
+		Retry:       retryCfg(),
+	}, refs)
+	leaf.Start()
+	f.loop.RunUntil(3*time.Second + 50*time.Millisecond)
+	if leaf.CapEvents() != 1 {
+		t.Fatalf("capEvents = %d, want the first cycle's caps in flight", leaf.CapEvents())
+	}
+	leaf.Stop()
+	f.loop.RunUntil(30 * time.Second)
+	for _, id := range f.order {
+		if _, capped := f.servers[id].Limit(); capped {
+			t.Errorf("server %s capped by a retry issued after Stop", id)
+		}
+	}
+	if dropped, _, _ := inj.Counts(); dropped == 0 {
+		t.Error("injector dropped nothing; no retry was queued")
+	}
+}
+
+// TestUpperStopCancelsQueuedRetries is the upper-level counterpart: the
+// first contracts are dropped and the upper stops before the retries fire.
+func TestUpperStopCancelsQueuedRetries(t *testing.T) {
+	f := newFixture(t)
+	refsA := f.addFleet(10, "web", 0.9)
+	refsB := f.addFleet(10, "cache", 0.45)
+	leafA := NewLeaf(f.loop, LeafConfig{DeviceID: "rppA", Limit: power.KW(200), Quota: 2500}, refsA)
+	leafB := NewLeaf(f.loop, LeafConfig{DeviceID: "rppB", Limit: power.KW(200), Quota: 2500}, refsB)
+	f.net.Register(CtrlAddr("rppA"), leafA.Handler())
+	f.net.Register(CtrlAddr("rppB"), leafB.Handler())
+	inj := faults.New(f.loop, 5, nil)
+	// The upper's first cycle sends contracts at ~9.004 s.
+	inj.Add(faults.Rule{Peer: "*", Method: MethodCtrlSetContract, Until: 9*time.Second + 100*time.Millisecond, DropP: 1})
+	up := NewUpper(f.loop, UpperConfig{
+		DeviceID: "sb1", Limit: 5000, Alerts: f.alertSink(), OffenderBucket: 100,
+		PullTimeout: 200 * time.Millisecond,
+		Retry:       retryCfg(),
+	}, []ChildRef{
+		{ID: "rppA", Client: inj.WrapClient(CtrlAddr("rppA"), f.net.Dial(CtrlAddr("rppA"))), Quota: 2500},
+		{ID: "rppB", Client: inj.WrapClient(CtrlAddr("rppB"), f.net.Dial(CtrlAddr("rppB"))), Quota: 2500},
+	})
+	leafA.Start()
+	leafB.Start()
+	up.Start()
+	f.loop.RunUntil(9*time.Second + 50*time.Millisecond)
+	if up.CapEvents() != 1 {
+		t.Fatalf("capEvents = %d, want the first cycle's contracts in flight", up.CapEvents())
+	}
+	up.Stop()
+	f.loop.RunUntil(60 * time.Second)
+	for _, leaf := range []*Leaf{leafA, leafB} {
+		if c := leaf.Contract(); c != 0 {
+			t.Errorf("child %s holds a %v contract from a retry issued after Stop", leaf.DeviceID(), c)
+		}
+	}
+	if dropped, _, _ := inj.Counts(); dropped == 0 {
+		t.Error("injector dropped nothing; no retry was queued")
+	}
+}
+
+// TestHandlerRejectsBadContracts sends non-finite and negative contract
+// limits through each level's controller protocol: they must be refused,
+// leave the contract untouched, and keep Status JSON-encodable.
+func TestHandlerRejectsBadContracts(t *testing.T) {
+	f := newFixture(t)
+	leaf := NewLeaf(f.loop, LeafConfig{DeviceID: "rpp1", Limit: power.KW(10)}, f.addFleet(2, "web", 0.5))
+	up := NewUpper(f.loop, UpperConfig{DeviceID: "sb1", Limit: power.KW(100)}, nil)
+	for _, c := range []struct {
+		name    string
+		handler rpc.Handler
+		ctrl    interface{ Status(int) ControllerStatus }
+	}{{"leaf", leaf.Handler(), leaf}, {"upper", up.Handler(), up}} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			body := wire.Marshal(&SetContractRequest{LimitWatts: bad})
+			if _, err := c.handler(MethodCtrlSetContract, body); err == nil {
+				t.Errorf("%s: SetContract(%v) acked, want an error", c.name, bad)
+			}
+			st := c.ctrl.Status(4)
+			if st.ContractWatts != 0 {
+				t.Errorf("%s: contract = %v after rejected SetContract(%v)", c.name, st.ContractWatts, bad)
+			}
+			if _, err := json.Marshal(st); err != nil {
+				t.Errorf("%s: Status after SetContract(%v) does not encode: %v", c.name, bad, err)
+			}
+		}
+		body := wire.Marshal(&SetContractRequest{LimitWatts: 4000})
+		if _, err := c.handler(MethodCtrlSetContract, body); err != nil {
+			t.Errorf("%s: valid contract refused: %v", c.name, err)
+		}
+		if got := c.ctrl.Status(4).ContractWatts; got != 4000 {
+			t.Errorf("%s: contract = %v, want 4000", c.name, got)
+		}
 	}
 }

@@ -74,48 +74,24 @@ type ControllerStatus struct {
 	Decisions []DecisionSummary `json:"decisions,omitempty"`
 }
 
-// Status snapshots the leaf controller with its last lastN decision
-// records (lastN <= 0 returns all retained records). Loop-confined.
-func (l *Leaf) Status(lastN int) ControllerStatus {
-	svc := make(map[string]float64, len(l.lastService))
-	for k, v := range l.lastService {
-		svc[k] = float64(v)
+// Status snapshots the controller with its last lastN decision records
+// (lastN <= 0 returns all retained records). Loop-confined.
+func (k *kernel) Status(lastN int) ControllerStatus {
+	st := ControllerStatus{
+		Device:        k.device,
+		Level:         k.level,
+		Running:       k.Running(),
+		Cycles:        k.cycles,
+		AggWatts:      float64(k.lastAgg),
+		Valid:         k.lastValid,
+		LimitWatts:    float64(k.limit),
+		EffLimitWatts: float64(k.EffectiveLimit()),
+		ContractWatts: float64(k.contract),
+		CappedServers: k.pol.cappedCount(),
+		CapEvents:     k.capEvents,
+		UncapEvents:   k.uncapEvents,
+		Decisions:     lastDecisions(k.journal, lastN),
 	}
-	return ControllerStatus{
-		Device:        l.cfg.DeviceID,
-		Level:         "leaf",
-		Running:       l.Running(),
-		Cycles:        l.cycles,
-		AggWatts:      float64(l.lastAgg),
-		Valid:         l.lastValid,
-		LimitWatts:    float64(l.cfg.Limit),
-		EffLimitWatts: float64(l.EffectiveLimit()),
-		ContractWatts: float64(l.contract),
-		CappedServers: l.CappedCount(),
-		CapEvents:     l.capEvents,
-		UncapEvents:   l.uncapEvents,
-		ServiceWatts:  svc,
-		Decisions:     lastDecisions(l.journal, lastN),
-	}
-}
-
-// Status snapshots the upper controller with its last lastN decision
-// records (lastN <= 0 returns all retained records). Loop-confined.
-func (u *Upper) Status(lastN int) ControllerStatus {
-	return ControllerStatus{
-		Device:        u.cfg.DeviceID,
-		Level:         "upper",
-		Running:       u.Running(),
-		Cycles:        u.cycles,
-		AggWatts:      float64(u.lastAgg),
-		Valid:         u.lastValid,
-		LimitWatts:    float64(u.cfg.Limit),
-		EffLimitWatts: float64(u.EffectiveLimit()),
-		ContractWatts: float64(u.contract),
-		CappedServers: len(u.ContractedChildren()),
-		CapEvents:     u.capEvents,
-		UncapEvents:   u.uncapEvents,
-		Contracted:    u.ContractedChildren(),
-		Decisions:     lastDecisions(u.journal, lastN),
-	}
+	k.pol.status(&st)
+	return st
 }
