@@ -106,11 +106,9 @@ func BuildHierarchy(loop simclock.Loop, net *rpc.Network, topo *topology.Topolog
 	if cfg.LeafKind == 0 {
 		cfg.LeafKind = topology.KindRPP
 	}
-	leafClass, ok := cfg.LeafKind.DeviceClass()
-	if !ok {
+	if _, ok := cfg.LeafKind.DeviceClass(); !ok {
 		return nil, fmt.Errorf("core: leaf kind %v is not a power device", cfg.LeafKind)
 	}
-	_ = leafClass
 
 	dial := cfg.Dial
 	if dial == nil {

@@ -15,27 +15,23 @@ import (
 // serially regardless of the worker setting.
 const parallelTickMin = 256
 
-// aggDev is one device's precomputed aggregation inputs: the tickList
-// indices of the servers (and cappable switches) attached directly to it,
-// its count of constant-draw switches, and the snapshot indices of its
-// child devices. The slice of aggDev is ordered post-order, so children
-// always carry smaller indices than their parents and one ascending pass
-// aggregates the whole hierarchy — or any dirty subset of it.
+// aggDev is one snapshot slot's precomputed aggregation inputs: the
+// tickList indices of the servers (and cappable switches) attached
+// directly to it, its count of constant-draw switches, and the snapshot
+// indices of its child devices. There is one slot per device, plus a last
+// slot for the datacenter root when the root is not itself a device. The
+// slots are ordered post-order, so children always carry smaller indices
+// than their parents and one ascending pass aggregates the whole
+// hierarchy — or any dirty subset of it.
 type aggDev struct {
 	id       topology.NodeID
 	isRack   bool
 	leafIdx  []int
 	constSw  int
 	children []int
-	// parent is the snapshot index of the nearest enclosing device, -1 at
-	// the top of the hierarchy (topology.Node.ParentDevice).
+	// parent is the snapshot index of the enclosing slot: the nearest
+	// enclosing device, or the root's slot. -1 for the top slot.
 	parent int
-	// subLo is the first snapshot index of this device's device-subtree:
-	// post-order contiguity makes [subLo, own index] the subtree range.
-	subLo int
-	// subLeaves counts the servers/cappable switches in the device's whole
-	// subtree — the multiplier of the epsilon drift bound.
-	subLeaves int
 }
 
 // snapshot is the per-tick power view every consumer reads: breaker
@@ -60,26 +56,28 @@ type AggregationStats struct {
 	// DirtyServers is how many servers moved beyond the epsilon on the
 	// last committed pass.
 	DirtyServers int
-	// ReaggregatedDevices is how many devices the last committed pass
-	// recomputed (dirty homes plus their changed ancestor chains).
+	// ReaggregatedDevices is how many snapshot slots the last committed
+	// pass recomputed (dirty homes plus their changed ancestor chains).
 	ReaggregatedDevices int
-	// Servers and Devices are the fleet totals, for ratio gauges.
+	// Servers is the fleet size; Devices counts the snapshot slots (every
+	// device, plus the root when it is not one). Both feed ratio gauges.
 	Servers int
 	Devices int
 	// IncrementalPasses and FullRebuilds count committed passes since
-	// start; partial subtree refreshes (DevicePower between ticks) are
-	// counted separately.
+	// start.
 	IncrementalPasses uint64
 	FullRebuilds      uint64
-	SubtreeRefreshes  uint64
 	// WorkloadActivity is the largest per-service "changed since last
 	// tick" hint (workload.Shared.TickHint) observed on the last tick.
 	WorkloadActivity float64
 }
 
 // buildAggIndex resolves the topology's post-order device index against
-// the constructed server instances. Called once at New, after all servers
-// (including cappable switches) exist.
+// the constructed server instances, and appends the datacenter root as the
+// last slot when it is not itself a device: its children are the
+// top-level devices and its direct leaves the servers and switches outside
+// any device. Called once at New, after all servers (including cappable
+// switches) exist.
 func (s *Sim) buildAggIndex() {
 	s.tickList = make([]*server.Server, len(s.serverOrder))
 	tickIdx := make(map[string]int, len(s.serverOrder))
@@ -88,56 +86,40 @@ func (s *Sim) buildAggIndex() {
 		tickIdx[id] = i
 	}
 
-	post := s.Topo.DevicesPostOrder()
-	s.agg = make([]aggDev, 0, len(post))
-	s.aggIdx = make(map[topology.NodeID]int, len(post))
-	for _, n := range post {
+	// Per-server dirty-tracking state: the draw last committed into the
+	// server's home slot, and that slot's snapshot index.
+	s.lastAgg = make([]power.Watts, len(s.tickList))
+	s.homeDev = make([]int, len(s.tickList))
+
+	nodes := s.Topo.DevicesPostOrder()
+	if root := s.Topo.Root; !root.IsDevice() {
+		// The clipped capacity keeps append off the topology's array.
+		nodes = append(nodes[:len(nodes):len(nodes)], root)
+	}
+	s.agg = make([]aggDev, 0, len(nodes))
+	s.aggIdx = make(map[topology.NodeID]int, len(nodes))
+	for i, n := range nodes {
 		d := aggDev{id: n.ID, isRack: n.Kind == topology.KindRack, parent: -1}
 		for _, l := range n.DirectLeaves() {
 			if li, ok := tickIdx[string(l.ID)]; ok {
 				d.leafIdx = append(d.leafIdx, li)
+				s.homeDev[li] = i
 			} else {
 				d.constSw++
 			}
 		}
-		d.subLeaves = len(d.leafIdx)
+		// Children precede their parent in post-order, so their slots
+		// exist and can be pointed back at this one.
 		for _, c := range n.ChildDevices() {
 			ci := s.aggIdx[c.ID]
 			d.children = append(d.children, ci)
-			d.subLeaves += s.agg[ci].subLeaves
+			s.agg[ci].parent = i
 		}
-		if p := n.ParentDevice(); p != nil {
-			// Parents come after children in post-order, so the parent's
-			// own index is not assigned yet; it is patched below.
-			_ = p
-		}
-		lo, _, _ := n.DeviceSubtreeRange()
-		d.subLo = lo
-		s.aggIdx[n.ID] = len(s.agg)
+		s.aggIdx[n.ID] = i
 		s.agg = append(s.agg, d)
-	}
-	// Patch parent indices now that every device has its snapshot slot.
-	for i, n := range post {
-		if p := n.ParentDevice(); p != nil {
-			s.agg[i].parent = s.aggIdx[p.ID]
-		}
 	}
 	s.snap.dev = make([]power.Watts, len(s.agg))
 	s.devDirty = make([]bool, len(s.agg))
-
-	// Per-server dirty-tracking state: the draw last committed into the
-	// server's home device, and that device's snapshot index (-1 when no
-	// device encloses the server).
-	s.lastAgg = make([]power.Watts, len(s.tickList))
-	s.homeDev = make([]int, len(s.tickList))
-	for i, id := range s.serverOrder {
-		s.homeDev[i] = -1
-		if n := s.Topo.Lookup(topology.NodeID(id)); n != nil {
-			if h := n.HomeDevice(); h != nil {
-				s.homeDev[i] = s.aggIdx[h.ID]
-			}
-		}
-	}
 
 	s.constSwitches = 0
 	for _, sw := range s.Topo.OfKind(topology.KindSwitch) {
@@ -238,11 +220,10 @@ func (s *Sim) recomputeDev(i int, now time.Duration) power.Watts {
 }
 
 // aggregate brings the snapshot to time now, dispatching to the full
-// rebuild until the first pass has initialized the incremental state (or
-// when the test knob forces the oracle path), and to the dirty-subtree
-// incremental pass afterwards.
+// rebuild until the first pass has initialized the incremental state, and
+// to the dirty-subtree incremental pass afterwards.
 func (s *Sim) aggregate(now time.Duration) {
-	if s.useFullAgg || !s.aggInit {
+	if !s.aggInit {
 		s.aggregateFull(now)
 		return
 	}
@@ -251,9 +232,9 @@ func (s *Sim) aggregate(now time.Duration) {
 
 // aggregateFull recomputes every device from scratch: one bottom-up pass
 // over the post-order device index — O(total nodes) for the whole
-// hierarchy. Kept as the incremental path's cross-check oracle (and the
-// mandatory first pass); summation order is fixed by the index, so
-// results are identical at any worker count.
+// hierarchy. It is the mandatory first pass; tests also run it after
+// ticks as the incremental path's cross-check. Summation order is fixed
+// by the index, so results are identical at any worker count.
 //
 //dynamo:serial
 func (s *Sim) aggregateFull(now time.Duration) {
@@ -310,9 +291,7 @@ func (s *Sim) drainDirty() int {
 	dirty := 0
 	for w := range s.shardDirty {
 		for _, li := range s.shardDirty[w] {
-			if h := s.homeDev[li]; h >= 0 {
-				s.devDirty[h] = true
-			}
+			s.devDirty[s.homeDev[li]] = true
 		}
 		dirty += len(s.shardDirty[w])
 		s.shardDirty[w] = s.shardDirty[w][:0]
@@ -343,38 +322,6 @@ func (s *Sim) refresh() {
 	if now := s.Loop.Now(); !s.snap.valid || s.snap.at != now {
 		s.aggregate(now)
 	}
-}
-
-// refreshDevice brings one device's snapshot entry (and its whole device
-// subtree) to the current loop time without rebuilding — or even globally
-// re-aggregating — the rest of the snapshot: only the dirty devices
-// inside the queried subtree's contiguous post-order range are
-// recomputed. snap.at is left untouched, so the next global refresh still
-// runs; ancestors a partial refresh dirtied are picked up then.
-func (s *Sim) refreshDevice(i int) {
-	if !s.snap.valid || !s.aggInit {
-		s.refresh()
-		return
-	}
-	now := s.Loop.Now()
-	if s.snap.at == now {
-		return
-	}
-	s.drainDirty()
-	for j := s.agg[i].subLo; j <= i; j++ {
-		if !s.devDirty[j] {
-			continue
-		}
-		s.devDirty[j] = false
-		sum := s.recomputeDev(j, now)
-		if sum != s.snap.dev[j] {
-			s.snap.dev[j] = sum
-			if p := s.agg[j].parent; p >= 0 {
-				s.devDirty[p] = true
-			}
-		}
-	}
-	s.statSubtreeRefreshes++
 }
 
 // invalidateSnapshot forces the next read to re-aggregate; called by
@@ -439,43 +386,14 @@ func (s *Sim) tickServers(now time.Duration) {
 	wg.Wait()
 }
 
-// snapPower returns a node's draw from the current snapshot, falling back
-// to the subtree oracle for nodes outside the device index (the root, a
-// single server). Callers must have refreshed or just aggregated.
-func (s *Sim) snapPower(devID topology.NodeID) power.Watts {
-	if i, ok := s.aggIdx[devID]; ok {
+// snapPower returns a device's or the root's draw from the current
+// snapshot; any other ID reads 0. Callers must have refreshed or just
+// aggregated.
+func (s *Sim) snapPower(id topology.NodeID) power.Watts {
+	if i, ok := s.aggIdx[id]; ok {
 		return s.snap.dev[i]
 	}
-	return s.devicePowerWalk(devID)
-}
-
-// devicePowerWalk is the pre-aggregation-layer implementation: a full
-// subtree walk summing every server, switch, and rack recharge below the
-// node. Kept as the test oracle for the snapshot cross-check and as the
-// fallback for queries on non-device nodes (the datacenter root, a single
-// server). Unlike the snapshot path it never mutates recharge state.
-func (s *Sim) devicePowerWalk(devID topology.NodeID) power.Watts {
-	node := s.Topo.Lookup(devID)
-	if node == nil {
-		return 0
-	}
-	var sum power.Watts
-	now := s.Loop.Now()
-	node.Walk(func(n *topology.Node) {
-		switch n.Kind {
-		case topology.KindServer:
-			sum += s.Servers[string(n.ID)].Power()
-		case topology.KindSwitch:
-			if sv, ok := s.Servers[string(n.ID)]; ok {
-				sum += sv.Power() // cappable switch: measured draw
-			} else {
-				sum += s.Cfg.SwitchDraw
-			}
-		case topology.KindRack:
-			sum += s.rechargePeek(n.ID, now)
-		}
-	})
-	return sum
+	return 0
 }
 
 // AggregationStats reports the incremental pipeline's work counters as of
@@ -488,7 +406,6 @@ func (s *Sim) AggregationStats() AggregationStats {
 		Devices:             len(s.agg),
 		IncrementalPasses:   s.statIncPasses,
 		FullRebuilds:        s.statFullRebuilds,
-		SubtreeRefreshes:    s.statSubtreeRefreshes,
 		WorkloadActivity:    s.statWorkloadHint,
 	}
 }

@@ -12,9 +12,9 @@ import (
 	"dynamo/internal/topology"
 )
 
-// TestIncrementalMatchesFullOnRandomTopology is the tentpole cross-check:
-// at epsilon=0 the incremental dirty-subtree pass must produce snapshots
-// bitwise identical to the retained full O(N) rebuild, on randomized
+// TestIncrementalMatchesFullOnRandomTopology is the incremental pass's
+// cross-check: at epsilon=0, after every tick, the snapshot must be
+// bitwise identical to the production full rebuild, on randomized
 // topologies, through quiescent stretches, load bursts, capping episodes,
 // breaker trips, and DCUPS recharges.
 func TestIncrementalMatchesFullOnRandomTopology(t *testing.T) {
@@ -34,57 +34,36 @@ func TestIncrementalMatchesFullOnRandomTopology(t *testing.T) {
 		workers := 1 + rng.Intn(8)
 		surge := 0.7 + 0.2*rng.Float64()
 
-		mk := func(fullAgg bool) *Sim {
-			s, err := New(Config{
-				Spec:         spec,
-				Seed:         seed,
-				EnableDynamo: true,
-				TickWorkers:  workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.useFullAgg = fullAgg
-			rpp := s.Topo.OfKind(topology.KindRPP)[0]
-			s.At(time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, surge) })
-			s.At(3*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0) })
-			s.At(4*time.Minute, func() { s.RestoreDevice(rpp.ID) })
-			return s
+		s, err := New(Config{
+			Spec:         spec,
+			Seed:         seed,
+			EnableDynamo: true,
+			TickWorkers:  workers,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		inc, full := mk(false), mk(true)
-
-		for _, step := range []time.Duration{
-			90 * time.Second, // surge in progress
-			2 * time.Minute,  // post-burst
-			2 * time.Minute,  // recharge decaying, quiescent tail
-		} {
-			inc.Run(step)
-			full.Run(step)
-			for _, dev := range inc.Topo.Devices() {
-				pi := float64(inc.DevicePower(dev.ID))
-				pf := float64(full.DevicePower(dev.ID))
-				if pi != pf {
-					t.Fatalf("trial %d at %v: device %s incremental %.12f != full %.12f",
-						trial, inc.Loop.Now(), dev.ID, pi, pf)
-				}
-			}
-			if ti, tf := inc.TotalPower(), full.TotalPower(); ti != tf {
-				t.Fatalf("trial %d at %v: total incremental %v != full %v", trial, inc.Loop.Now(), ti, tf)
-			}
+		rpp := s.Topo.OfKind(topology.KindRPP)[0]
+		s.At(time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, surge) })
+		s.At(3*time.Minute, func() { s.SetExtraLoadUnder(rpp.ID, 0) })
+		s.At(4*time.Minute, func() { s.RestoreDevice(rpp.ID) })
+		s.Start()
+		checked := checkFullRebuildEachTick(t, s)
+		// Surge, post-burst, then a decaying recharge and a quiescent tail.
+		s.Run(5*time.Minute + 30*time.Second)
+		if want := int(s.Loop.Now() / s.Cfg.TickInterval); *checked != want {
+			t.Fatalf("trial %d: checked %d ticks, want %d", trial, *checked, want)
 		}
-		st := inc.AggregationStats()
-		if st.IncrementalPasses == 0 {
-			t.Fatalf("trial %d: incremental sim never took the incremental path", trial)
-		}
-		if fs := full.AggregationStats(); fs.IncrementalPasses != 0 {
-			t.Fatalf("trial %d: full-rebuild oracle took %d incremental passes", trial, fs.IncrementalPasses)
+		if st := s.AggregationStats(); st.IncrementalPasses == 0 {
+			t.Fatalf("trial %d: the sim never took the incremental path", trial)
 		}
 	}
 }
 
 // TestEpsilonDriftBounded checks the epsilon>0 accuracy contract: every
-// device's snapshot entry stays within epsilon × (servers in its subtree)
-// of the true subtree draw, through bursts, capping, and recharges.
+// device's snapshot entry, and the root's, stays within epsilon ×
+// (servers in its subtree) of the true subtree draw, through bursts,
+// capping, and recharges.
 func TestEpsilonDriftBounded(t *testing.T) {
 	const eps = power.Watts(3)
 	spec := detSpec()
@@ -106,19 +85,19 @@ func TestEpsilonDriftBounded(t *testing.T) {
 	maxDrift := 0.0
 	for i := 0; i < 8; i++ {
 		s.Run(time.Minute)
-		s.refresh()
-		for _, dev := range s.Topo.Devices() {
-			di := s.aggIdx[dev.ID]
-			snap := float64(s.snap.dev[di])
+		for _, dev := range append(s.Topo.Devices(), s.Topo.Root) {
+			snap := float64(s.DevicePower(dev.ID))
 			oracle := float64(s.devicePowerWalk(dev.ID))
 			drift := math.Abs(snap - oracle)
 			if drift > maxDrift {
 				maxDrift = drift
 			}
-			bound := float64(eps)*float64(s.agg[di].subLeaves) + 1e-6*(1+math.Abs(oracle))
+			// The spec has no cappable switches: servers are the leaves.
+			leaves := len(dev.Servers())
+			bound := float64(eps)*float64(leaves) + 1e-6*(1+math.Abs(oracle))
 			if drift > bound {
-				t.Fatalf("at %v: device %s drift %.6f exceeds bound %.6f (eps %v × %d leaves)",
-					s.Loop.Now(), dev.ID, drift, bound, eps, s.agg[di].subLeaves)
+				t.Fatalf("at %v: %s drift %.6f exceeds bound %.6f (eps %v × %d leaves)",
+					s.Loop.Now(), dev.ID, drift, bound, eps, leaves)
 			}
 		}
 	}
@@ -131,11 +110,10 @@ func TestEpsilonDriftBounded(t *testing.T) {
 	}
 }
 
-// TestDevicePowerSubtreeRefresh asserts the on-demand refresh satellite: a
-// mid-tick DevicePower query re-aggregates only the queried device's
-// subtree — the global snapshot timestamp stays put, no global pass runs,
-// and the answer still tracks time-dependent draw (an active recharge).
-func TestDevicePowerSubtreeRefresh(t *testing.T) {
+// TestDevicePowerBetweenTicks checks a DevicePower query that lands
+// between ticks during an active recharge: the answer tracks the recharge
+// decay at the query instant, matching the side-effect-free walk.
+func TestDevicePowerBetweenTicks(t *testing.T) {
 	spec := topology.DefaultSpec()
 	spec.MSBs, spec.SBsPerMSB, spec.RPPsPerSB = 1, 1, 2
 	spec.RacksPerRPP, spec.ServersPerRack = 2, 8
@@ -149,38 +127,55 @@ func TestDevicePowerSubtreeRefresh(t *testing.T) {
 	probed := false
 	s.At(90*time.Second+500*time.Millisecond, func() {
 		probed = true
-		before := s.AggregationStats()
-		snapAt := s.snap.at
-		if snapAt == s.Loop.Now() {
+		if s.snap.at == s.Loop.Now() {
 			t.Fatal("probe landed on a tick instant; staleness check is vacuous")
 		}
-		got := float64(s.DevicePower(rack.ID))
-		after := s.AggregationStats()
-
-		if s.snap.at != snapAt {
-			t.Errorf("subtree refresh advanced the global snapshot timestamp %v -> %v", snapAt, s.snap.at)
-		}
-		if after.SubtreeRefreshes != before.SubtreeRefreshes+1 {
-			t.Errorf("SubtreeRefreshes %d -> %d, want +1", before.SubtreeRefreshes, after.SubtreeRefreshes)
-		}
-		if after.IncrementalPasses != before.IncrementalPasses || after.FullRebuilds != before.FullRebuilds {
-			t.Errorf("mid-tick DevicePower ran a global pass (inc %d->%d, full %d->%d)",
-				before.IncrementalPasses, after.IncrementalPasses, before.FullRebuilds, after.FullRebuilds)
-		}
-		// The refreshed entry reflects the recharge decay at the probe
-		// instant, matching the side-effect-free oracle walk.
-		oracle := float64(s.devicePowerWalk(rack.ID))
-		if diff := math.Abs(got - oracle); diff > 1e-6*(1+math.Abs(oracle)) {
-			t.Errorf("refreshed rack power %.9f != oracle %.9f", got, oracle)
-		}
 		if rec := float64(s.rechargePeek(rack.ID, s.Loop.Now())); rec <= 0 {
-			t.Error("no active recharge at probe time; time-dependence check is vacuous")
+			t.Fatal("no active recharge at probe time; time-dependence check is vacuous")
+		}
+		got := float64(s.DevicePower(rack.ID))
+		walk := float64(s.devicePowerWalk(rack.ID))
+		if diff := math.Abs(got - walk); diff > 1e-6*(1+math.Abs(walk)) {
+			t.Errorf("rack power between ticks %.9f != walk %.9f", got, walk)
 		}
 	})
 	s.Run(2 * time.Minute)
 	if !probed {
 		t.Fatal("probe callback never ran")
 	}
+}
+
+// TestRootMatchesFleetTotal checks the root's snapshot slot against the
+// fleet total: DevicePower of the root is TotalPower plus the active DCUPS
+// recharges, while a restore's recharge runs and after it has decayed.
+func TestRootMatchesFleetTotal(t *testing.T) {
+	s, err := New(Config{Spec: tinySpec(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpp := s.Topo.OfKind(topology.KindRPP)[0]
+	s.At(time.Minute, func() { s.RestoreDevice(rpp.ID) })
+	check := func(when string, recharging bool) {
+		t.Helper()
+		var rech power.Watts
+		for _, rack := range s.Topo.OfKind(topology.KindRack) {
+			rech += s.rechargePeek(rack.ID, s.Loop.Now())
+		}
+		if (rech > 0) != recharging {
+			t.Fatalf("%s: recharge draw %v, want recharging=%v", when, rech, recharging)
+		}
+		root := float64(s.DevicePower(s.Topo.Root.ID))
+		want := float64(s.TotalPower() + rech)
+		if diff := math.Abs(root - want); diff > 1e-9*math.Abs(want) {
+			t.Errorf("%s: root %.9f != total + recharges %.9f", when, root, want)
+		}
+	}
+	s.Run(time.Minute) // the restore fires at this instant
+	check("at restore", true)
+	s.Run(30 * time.Second)
+	check("during recharge", true)
+	s.Run(45 * time.Minute) // > 5 time constants
+	check("after recharge", false)
 }
 
 // TestQuiescenceStats checks the quiescence telemetry: a huge epsilon

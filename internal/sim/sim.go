@@ -176,9 +176,10 @@ type Sim struct {
 	// pass is deterministic.
 	sharedOrder []string
 
-	// Aggregation layer (see aggregate.go): post-order device index,
-	// resolved server list in serverOrder, and the per-tick snapshot all
-	// power consumers read.
+	// Aggregation layer (see aggregate.go): post-order device index (with
+	// the root in the last slot when it is not a device), resolved server
+	// list in serverOrder, and the per-tick snapshot all power consumers
+	// read.
 	agg           []aggDev
 	aggIdx        map[topology.NodeID]int
 	snap          snapshot
@@ -194,19 +195,11 @@ type Sim struct {
 	breakerWas   []bool
 	breakerFired []bool
 	breakerDraw  []power.Watts
-	// useOracle routes breaker observations through the O(N·depth)
-	// subtree-walk oracle instead of the snapshot; test-only knob proving
-	// the refactor preserved behaviour.
-	useOracle bool
-	// useFullAgg forces every aggregation pass down the full-rebuild
-	// path; test-only knob keeping the old O(N) pass as the incremental
-	// scheme's cross-check oracle.
-	useFullAgg bool
 	// aggInit flips true once the first full pass has initialized
 	// lastAgg; until then every aggregate dispatches to the full rebuild.
 	aggInit bool
 	// Incremental aggregation state (see aggregate.go): per-tickList-index
-	// last committed draw and home-device snapshot index (-1 when no
+	// last committed draw and home snapshot index (the root's slot when no
 	// device encloses the server), per-shard dirty-server lists filled by
 	// the sharded physics pass, and per-device dirty marks consumed by the
 	// serial incremental pass.
@@ -215,12 +208,11 @@ type Sim struct {
 	shardDirty [][]int
 	devDirty   []bool
 	// Quiescence counters of the last committed pass (AggregationStats).
-	statDirtyServers     int
-	statReaggDevices     int
-	statIncPasses        uint64
-	statFullRebuilds     uint64
-	statSubtreeRefreshes uint64
-	statWorkloadHint     float64
+	statDirtyServers int
+	statReaggDevices int
+	statIncPasses    uint64
+	statFullRebuilds uint64
+	statWorkloadHint float64
 
 	recorded    map[topology.NodeID]*metrics.Series
 	recordEvery time.Duration
@@ -568,18 +560,7 @@ func (s *Sim) tick() {
 	s.statWorkloadHint = hint
 	s.tickServers(now)
 	s.aggregate(now)
-	if s.useOracle {
-		// Test oracle: pre-refactor serial path reading subtree walks.
-		for i, devID := range s.deviceOrder {
-			draw := s.devicePowerWalk(devID)
-			br := s.breakerList[i]
-			s.breakerWas[i] = br.Tripped()
-			s.breakerFired[i] = br.Observe(draw, now)
-			s.breakerDraw[i] = draw
-		}
-	} else {
-		s.observeBreakers(now)
-	}
+	s.observeBreakers(now)
 	for i, devID := range s.deviceOrder {
 		if !s.breakerFired[i] {
 			continue
@@ -596,30 +577,18 @@ func (s *Sim) tick() {
 			s.outage(devID)
 		}
 	}
-	// read resolves a device draw: snapshot lookup normally, or the
-	// pre-refactor subtree walk when the test oracle is enabled.
-	read := func(devID topology.NodeID) power.Watts {
-		if s.useOracle {
-			return s.devicePowerWalk(devID)
-		}
-		return s.snap.dev[s.aggIdx[devID]]
-	}
 	if s.Cfg.ValidatorInterval > 0 {
 		if s.lastMeter == 0 || now-s.lastMeter >= s.Cfg.ValidatorInterval {
 			s.lastMeter = now
-			for _, devID := range s.deviceOrder {
-				s.meter[devID] = read(devID)
+			for i, devID := range s.deviceOrder {
+				s.meter[devID] = s.snap.dev[s.devSnapIdx[i]]
 			}
 		}
 	}
 	if s.recordEvery > 0 && (s.lastRecord == 0 || now-s.lastRecord >= s.recordEvery) {
 		s.lastRecord = now
 		for devID, series := range s.recorded {
-			if s.useOracle {
-				series.Add(now, float64(s.devicePowerWalk(devID)))
-			} else {
-				series.Add(now, float64(s.snapPower(devID)))
-			}
+			series.Add(now, float64(s.snapPower(devID)))
 		}
 		for srvID, series := range s.recordedServers {
 			series.Add(now, float64(s.Servers[srvID].Power()))
@@ -644,18 +613,13 @@ func (s *Sim) outage(devID topology.NodeID) {
 	}
 }
 
-// DevicePower returns the instantaneous true power at a device: the sum
-// of all downstream servers plus top-of-rack switches. For devices this
-// is a snapshot lookup; when the snapshot is stale for the current loop
-// time only the queried device's subtree is re-aggregated (refreshDevice)
-// rather than rebuilding the fleet-wide snapshot. Non-device nodes fall
-// back to the subtree oracle.
+// DevicePower returns the instantaneous true power at a device or at the
+// datacenter root: the sum of every server, top-of-rack switch and DCUPS
+// recharge beneath it. It brings the snapshot to the current loop time
+// and reads the node's entry. Any other ID, a server's included, reads 0.
 func (s *Sim) DevicePower(devID topology.NodeID) power.Watts {
-	if i, ok := s.aggIdx[devID]; ok {
-		s.refreshDevice(i)
-		return s.snap.dev[i]
-	}
-	return s.devicePowerWalk(devID)
+	s.refresh()
+	return s.snapPower(devID)
 }
 
 // rechargeAt returns a rack's current DCUPS recharge draw, garbage
@@ -668,20 +632,6 @@ func (s *Sim) rechargeAt(rackID topology.NodeID, now time.Duration) power.Watts 
 	elapsed := now - r.start
 	if elapsed >= 5*r.tau {
 		delete(s.recharges, rackID)
-		return 0
-	}
-	return power.Watts(float64(r.initial) * math.Exp(-elapsed.Seconds()/r.tau.Seconds()))
-}
-
-// rechargePeek is rechargeAt without the expiry garbage collection, so
-// the oracle walk stays free of side effects.
-func (s *Sim) rechargePeek(rackID topology.NodeID, now time.Duration) power.Watts {
-	r, ok := s.recharges[rackID]
-	if !ok {
-		return 0
-	}
-	elapsed := now - r.start
-	if elapsed >= 5*r.tau {
 		return 0
 	}
 	return power.Watts(float64(r.initial) * math.Exp(-elapsed.Seconds()/r.tau.Seconds()))
@@ -736,9 +686,10 @@ func isAncestorOf(root, candidate *topology.Node) bool {
 	return false
 }
 
-// TotalPower returns the whole data center's true draw: every server plus
+// TotalPower returns the whole data center's IT draw: every server plus
 // the constant draw of non-cappable switches (cappable switches are
-// counted as servers). Computed lazily in fixed server order — the
+// counted as servers). It excludes DCUPS recharge draw, which
+// DevicePower of the root includes. Computed lazily in fixed server order — the
 // per-tick aggregation no longer pays for an O(N) fleet sum nobody reads
 // — and cached per loop timestamp.
 func (s *Sim) TotalPower() power.Watts {
@@ -762,8 +713,13 @@ func (s *Sim) TotalPower() power.Watts {
 func (s *Sim) SnapshotVersion() uint64 { return s.snap.version }
 
 // Record starts sampling the given devices' true power every interval.
+// The datacenter root can be recorded too; any other ID samples 0. The
+// interval is shared by every recorded series, and a non-positive one is
+// ignored, as in SetTickInterval.
 func (s *Sim) Record(interval time.Duration, devices ...topology.NodeID) {
-	s.recordEvery = interval
+	if interval > 0 {
+		s.recordEvery = interval
+	}
 	for _, id := range devices {
 		if _, ok := s.recorded[id]; !ok {
 			s.recorded[id] = metrics.NewSeries(4096)
@@ -771,9 +727,12 @@ func (s *Sim) Record(interval time.Duration, devices ...topology.NodeID) {
 	}
 }
 
-// RecordServers starts sampling individual servers' power.
+// RecordServers starts sampling individual servers' power, sharing and
+// setting Record's interval (a non-positive one is ignored).
 func (s *Sim) RecordServers(interval time.Duration, ids ...string) {
-	s.recordEvery = interval
+	if interval > 0 {
+		s.recordEvery = interval
+	}
 	for _, id := range ids {
 		if _, ok := s.recordedServers[id]; !ok {
 			s.recordedServers[id] = metrics.NewSeries(4096)
@@ -896,15 +855,14 @@ func (s *Sim) ResetWork() {
 // snapshot refresh serves the whole batch.
 func (s *Sim) Observations() []monitor.Observation {
 	s.refresh()
-	out := make([]monitor.Observation, 0, len(s.deviceOrder))
-	for _, id := range s.deviceOrder {
-		br := s.Breakers[id]
-		out = append(out, monitor.Observation{
-			Device: string(id),
+	out := make([]monitor.Observation, len(s.breakerList))
+	for i, br := range s.breakerList {
+		out[i] = monitor.Observation{
+			Device: string(s.deviceOrder[i]),
 			Class:  br.Class(),
-			Power:  s.snap.dev[s.aggIdx[id]],
+			Power:  s.snap.dev[s.devSnapIdx[i]],
 			Limit:  br.Rating(),
-		})
+		}
 	}
 	return out
 }
@@ -925,9 +883,9 @@ func (s *Sim) QuiescenceSample() monitor.Quiescence {
 // TrippedDevices lists devices whose breakers have tripped.
 func (s *Sim) TrippedDevices() []topology.NodeID {
 	var out []topology.NodeID
-	for _, id := range s.deviceOrder {
-		if s.Breakers[id].Tripped() {
-			out = append(out, id)
+	for i, br := range s.breakerList {
+		if br.Tripped() {
+			out = append(out, s.deviceOrder[i])
 		}
 	}
 	return out

@@ -109,6 +109,30 @@ func TestSimRecording(t *testing.T) {
 	}
 }
 
+// TestRecordIgnoresNonPositiveInterval checks that a non-positive
+// interval leaves the shared recording cadence alone instead of stopping
+// every series, including those registered earlier.
+func TestRecordIgnoresNonPositiveInterval(t *testing.T) {
+	s, _ := New(Config{Spec: tinySpec(), Seed: 4})
+	rpp := s.Topo.OfKind(topology.KindRPP)[0]
+	srvID := string(s.Topo.Servers()[0].ID)
+	s.Record(5*time.Second, rpp.ID)
+	s.RecordServers(0, srvID)
+	s.Run(time.Minute)
+	n := s.Series(rpp.ID).Len()
+	if n < 10 {
+		t.Fatalf("rpp samples after a minute = %d, want ≥ 10", n)
+	}
+	s.Record(-time.Second)
+	s.Run(time.Minute)
+	if got := s.Series(rpp.ID).Len(); got < n+10 {
+		t.Errorf("rpp series stalled: %d samples, then %d a minute later", n, got)
+	}
+	if got := s.ServerSeries(srvID).Len(); got < 20 {
+		t.Errorf("server samples = %d, want ≥ 20 at the 5s cadence", got)
+	}
+}
+
 func TestSimScenarioLoadFactor(t *testing.T) {
 	s, _ := New(Config{Spec: tinySpec(), Seed: 5})
 	s.Run(30 * time.Second)
